@@ -10,6 +10,11 @@ let tests () =
   let blob = String.make 1024 'x' in
   let sk, pk = Schnorr.of_seed "bench" in
   let signature = Schnorr.sign sk "msg" in
+  let scalar =
+    Bignum.of_hex
+      "c0ffee0123456789abcdef0123456789abcdef0123456789abcdef0123456789"
+  in
+  let base = Ec.mul_g (Bignum.of_int 1234567) in
   let tree = Merkle.of_data (List.init 1024 string_of_int) in
   let proof = Merkle.prove tree 512 in
   let leaf = Hash.of_string "512" in
@@ -31,8 +36,13 @@ let tests () =
       Test.make ~name:"fp-mul" (Staged.stage (fun () -> Fp.mul a b));
       Test.make ~name:"poseidon2" (Staged.stage (fun () -> Poseidon.hash2 a b));
       Test.make ~name:"sha256-1k" (Staged.stage (fun () -> Sha256.digest blob));
+      Test.make ~name:"schnorr-sign"
+        (Staged.stage (fun () -> Schnorr.sign sk "msg"));
       Test.make ~name:"schnorr-verify"
         (Staged.stage (fun () -> Schnorr.verify pk "msg" signature));
+      Test.make ~name:"ec-mul-g" (Staged.stage (fun () -> Ec.mul_g scalar));
+      Test.make ~name:"ec-mul-var"
+        (Staged.stage (fun () -> Ec.mul scalar base));
       Test.make ~name:"mht-verify-1k"
         (Staged.stage (fun () -> Merkle.verify ~root ~leaf proof));
       Test.make ~name:"snark-verify"

@@ -25,18 +25,6 @@ let one = of_int 1
 let two = of_int 2
 
 let is_zero a = Array.length a = 0
-let is_even a = Array.length a = 0 || a.(0) land 1 = 0
-
-let to_int a =
-  let len = Array.length a in
-  (* 63-bit ints hold at most two full limbs plus 11 bits of a third. *)
-  if len > 3 || (len = 3 && a.(2) >= 1 lsl (62 - (2 * limb_bits)))
-  then invalid_arg "Bignum.to_int: overflow";
-  let r = ref 0 in
-  for i = len - 1 downto 0 do
-    r := (!r lsl limb_bits) lor a.(i)
-  done;
-  !r
 
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
@@ -123,10 +111,6 @@ let mul (a : t) (b : t) : t =
     norm r
   end
 
-let mul_int a n =
-  if n < 0 then invalid_arg "Bignum.mul_int: negative";
-  mul a (of_int n)
-
 (* Shift by whole limbs: the building blocks of Barrett reduction. *)
 let shift_left_limbs (a : t) n : t =
   if is_zero a then zero
@@ -200,8 +184,6 @@ let divmod a b =
 
 let rem a b = snd (divmod a b)
 
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
-
 let hex_digit c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'
@@ -235,10 +217,24 @@ let to_hex a =
     Buffer.contents buf
   end
 
+(* Bytes and limbs are both little-endian bit streams once the bytes
+   are read from the end: feed an accumulator of at most 33 bits. *)
 let of_bytes_be s =
-  let r = ref zero in
-  String.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) s;
-  !r
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code s.[i] lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      r.(!k) <- !acc land mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr k
+    end
+  done;
+  if !bits > 0 then r.(!k) <- !acc;
+  norm r
 
 let to_bytes_be ?len a =
   let nbytes = if is_zero a then 0 else ((num_bits a - 1) / 8) + 1 in
@@ -250,22 +246,18 @@ let to_bytes_be ?len a =
       l
   in
   let b = Bytes.make out_len '\000' in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
   for i = 0 to nbytes - 1 do
-    let byte =
-      (if bit a ((8 * i) + 7) then 128 else 0)
-      lor (if bit a ((8 * i) + 6) then 64 else 0)
-      lor (if bit a ((8 * i) + 5) then 32 else 0)
-      lor (if bit a ((8 * i) + 4) then 16 else 0)
-      lor (if bit a ((8 * i) + 3) then 8 else 0)
-      lor (if bit a ((8 * i) + 2) then 4 else 0)
-      lor (if bit a ((8 * i) + 1) then 2 else 0)
-      lor if bit a (8 * i) then 1 else 0
-    in
-    Bytes.set b (out_len - 1 - i) (Char.chr byte)
+    if !bits < 8 && !k < Array.length a then begin
+      acc := !acc lor (a.(!k) lsl !bits);
+      bits := !bits + limb_bits;
+      incr k
+    end;
+    Bytes.set b (out_len - 1 - i) (Char.chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    bits := !bits - 8
   done;
   Bytes.unsafe_to_string b
-
-let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)
 
 module Modring = struct
   type ring = { m : t; k : int; mu : t }
@@ -279,8 +271,6 @@ module Modring = struct
     (* mu = floor(B^(2k) / m), the Barrett constant. *)
     let mu = fst (divmod (shift_left_limbs one (2 * k)) m) in
     { m; k; mu }
-
-  let modulus r = r.m
 
   (* Barrett reduction; valid for x < B^(2k). Larger inputs (rare: raw
      hash material) fall back to long division. *)
@@ -330,11 +320,4 @@ module Modring = struct
     let a = reduce r a in
     if is_zero a then raise Division_by_zero;
     pow r a (nat_sub r.m two)
-
-  let sqrt_3mod4 r a =
-    let a = reduce r a in
-    (* m ≡ 3 (mod 4): candidate root is a^((m+1)/4). *)
-    let e = shift_right (nat_add r.m one) 2 in
-    let root = pow r a e in
-    if equal (sq r root) a then Some root else None
 end

@@ -4,22 +4,19 @@
     normalized (no trailing zero limbs). All numbers are non-negative;
     [sub a b] raises [Invalid_argument] when [a < b].
 
-    This module is the arithmetic substrate for the elliptic-curve and
-    Schnorr-signature code; see {!Bignum.Modring} for modular arithmetic
-    with Barrett reduction. *)
+    Schnorr signatures use it for scalars mod the group order, and
+    {!Ec} for the coordinates it takes and returns; see {!Bignum.Modring}
+    for modular arithmetic with Barrett reduction. The curve's own
+    field arithmetic uses the fixed-width {!Ec.Field} instead. *)
 
 type t
 
 val zero : t
 val one : t
-val two : t
 
 val of_int : int -> t
 (** [of_int n] converts a non-negative [int]. Raises [Invalid_argument]
     on negative input. *)
-
-val to_int : t -> int
-(** Raises [Invalid_argument] if the value does not fit in an [int]. *)
 
 val of_hex : string -> t
 (** Parses a big-endian hexadecimal string (case-insensitive, optional
@@ -38,7 +35,6 @@ val to_bytes_be : ?len:int -> t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
-val is_even : t -> bool
 
 val num_bits : t -> int
 (** Position of the highest set bit plus one; [num_bits zero = 0]. *)
@@ -49,7 +45,6 @@ val bit : t -> int -> bool
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val mul_int : t -> int -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
@@ -59,10 +54,6 @@ val divmod : t -> t -> t * t
 
 val rem : t -> t -> t
 
-val gcd : t -> t -> t
-
-val pp : Format.formatter -> t -> unit
-
 (** Modular arithmetic in the ring Z/mZ with precomputed Barrett
     reduction. Elements are plain {!t} values in [[0, m)]. *)
 module Modring : sig
@@ -71,19 +62,13 @@ module Modring : sig
   val create : t -> ring
   (** Raises [Invalid_argument] if the modulus is zero or one. *)
 
-  val modulus : ring -> t
   val reduce : ring -> t -> t
   val add : ring -> t -> t -> t
   val sub : ring -> t -> t -> t
   val mul : ring -> t -> t -> t
   val sq : ring -> t -> t
-  val pow : ring -> t -> t -> t
 
   val inv_prime : ring -> t -> t
   (** Multiplicative inverse assuming the modulus is prime (Fermat).
       Raises [Division_by_zero] on zero. *)
-
-  val sqrt_3mod4 : ring -> t -> t option
-  (** Square root assuming modulus [m ≡ 3 (mod 4)]; [None] if the
-      argument is a non-residue. *)
 end
