@@ -278,18 +278,26 @@ let e6_recursive_proof () =
         Result.get_ok
           (Zen_snark.Recursive.of_base rsys ~vk ~s_from ~s_to ~extra:[||] proof))
   in
+  (* The production fold: the online balanced tree. *)
+  let balanced chain =
+    let acc = Zen_snark.Recursive.Incremental.create rsys in
+    List.iter (Zen_snark.Recursive.Incremental.push acc) chain;
+    Result.get_ok (Zen_snark.Recursive.Incremental.finish acc)
+  in
+  (* The ablation: a left fold, i.e. the degenerate tree of depth n - 1. *)
+  let left_fold = function
+    | [] -> invalid_arg "e6: empty chain"
+    | t :: rest ->
+      List.fold_left
+        (fun acc t2 -> Result.get_ok (Zen_snark.Recursive.merge rsys acc t2))
+        t rest
+  in
   let rows =
     List.map
       (fun n ->
         let base_t, chain = Util.time_of_run (fun () -> make_chain n) in
-        let merge_t, top =
-          Util.time_of_run (fun () ->
-              Result.get_ok (Zen_snark.Recursive.fold_balanced rsys chain))
-        in
-        let seq_t, seq =
-          Util.time_of_run (fun () ->
-              Result.get_ok (Zen_snark.Recursive.fold_sequential rsys chain))
-        in
+        let merge_t, top = Util.time_of_run (fun () -> balanced chain) in
+        let seq_t, seq = Util.time_of_run (fun () -> left_fold chain) in
         let verify_t =
           Util.time_per_run ~budget:0.05 (fun () ->
               Zen_snark.Recursive.verify rsys top)
@@ -775,9 +783,10 @@ let e12_wire_sizes () =
 
 let e13_prover_pool () =
   Util.header "E13 prover-pool (§5.4.1)"
-    "Real multicore epoch proving: an epoch's base proofs are generated\n\
-     by a Domain pool and merged level-parallel into the Fig. 11 epoch\n\
-     proof. Wall-clock is measured, not simulated; outputs are checked\n\
+    "Real multicore epoch proving: Prover_pool.prove_and_merge runs an\n\
+     epoch's base proofs as futures on a Domain pool and folds them into\n\
+     the Fig. 11 epoch proof while later proofs are still running.\n\
+     Wall-clock is measured, not simulated; outputs are checked\n\
      byte-identical against the 1-domain run.";
   let params = Params.default in
   let family = Circuits.make params in
@@ -794,12 +803,11 @@ let e13_prover_pool () =
   let run pool =
     let t0 = Unix.gettimeofday () in
     Util.handicap_pause ();
-    let proofs, stats =
+    let proofs, stats, top =
       Result.get_ok
-        (Prover_pool.prove_epoch ~pool family ~initial:st ~steps
+        (Prover_pool.prove_and_merge ~pool family rsys ~initial:st ~steps
            ~workers:(Zen_crypto.Pool.domains pool) ~seed:77)
     in
-    let top = Result.get_ok (Prover_pool.merge_all ~pool family rsys proofs) in
     let total = Unix.gettimeofday () -. t0 in
     let fingerprint =
       Hash.tagged "e13.run"
@@ -832,12 +840,15 @@ let e13_prover_pool () =
   Util.table
     ~columns:
       [
-        "domains"; "task work"; "prove wall"; "prove+merge wall";
-        "speedup"; "identical";
+        "domains"; "task work"; "pool wall"; "epoch wall"; "speedup";
+        "identical";
       ]
     rows;
   Util.note
-    "32-step epoch; speedup = 1-domain prove+merge wall / this run's.\n\
+    "32-step epoch. task work sums the per-task proving wall; pool wall\n\
+     is the overlapped prove+merge section; epoch wall adds the native\n\
+     step application that captures each task's snapshot.\n\
+     speedup = 1-domain epoch wall / this run's.\n\
      Pools come from the process-wide registry (Pool.get): spawned once\n\
      per domain count, reused across rows, spawn cost outside the timed\n\
      sections. Domain.recommended_domain_count on this machine: %d\n\
@@ -862,10 +873,16 @@ let e14_fault_storm () =
           (Utxo.make ~addr:(Hash.of_string "e14") ~amount:(amount (i + 1))
              ~nonce:(Hash.of_string (Printf.sprintf "e14-%d" i))))
   in
+  let rsys =
+    Zen_snark.Recursive.create ~name:"e14" ~base_vks:(Circuits.base_vks family)
+  in
   let episode fl =
-    Result.get_ok
-      (Prover_pool.prove_epoch ~faults:fl family ~initial:st ~steps ~workers:4
-         ~seed:42)
+    let proofs, stats, _ =
+      Result.get_ok
+        (Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st ~steps
+           ~workers:4 ~seed:42)
+    in
+    (proofs, stats)
   in
   let digest proofs =
     Hash.tagged "e14.run"
@@ -1115,130 +1132,6 @@ let e15_mc_scale () =
      flat cost is structural, not cached.\n"
     !identical_all
 
-(* ---- E16: compile-once circuit templates ---- *)
-
-let e16_template () =
-  Util.header "E16 template-cache (compile-once circuits)"
-    "Epoch proving with per-prove circuit re-synthesis (legacy path,\n\
-     --no-template-cache) versus compile-once templates: each family's\n\
-     circuit is synthesized and SHA-digested once at startup, and every\n\
-     prove afterwards only runs the witness generator against the\n\
-     compiled CSR matrices. Proof bytes are checked identical across\n\
-     every configuration.";
-  let params = Params.default in
-  let family = Circuits.make params in
-  let st = Sc_state.create params in
-  let n_steps = 64 in
-  (* Slots are nonce-derived; skip the occasional nonce whose slot is
-     already taken so the epoch applies cleanly. *)
-  let steps =
-    let rec gen acc_st acc i n =
-      if n = 0 then List.rev acc
-      else
-        let u =
-          Utxo.make ~addr:(Hash.of_string "e16") ~amount:(amount (i + 1))
-            ~nonce:(Hash.of_string (Printf.sprintf "e16-%d" i))
-        in
-        match Sc_tx.apply_step acc_st (Sc_tx.Insert u) with
-        | Ok st' -> gen st' (Sc_tx.Insert u :: acc) (i + 1) (n - 1)
-        | Error _ -> gen acc_st acc (i + 1) n
-    in
-    gen st [] 0 n_steps
-  in
-  let finalizes = Zen_obs.Counter.make "snark.r1cs.finalize" in
-  let hits = Zen_obs.Counter.make "latus.template.hits" in
-  let misses = Zen_obs.Counter.make "latus.template.misses" in
-  (* One timed epoch: [templates] is set before the pool touches it and
-     read-only while the workers run. Counter deltas are recorded inside
-     Registry.with_enabled so the finalize/hit columns reflect exactly
-     this epoch's proves. *)
-  let run ~templates pool =
-    Circuits.set_use_templates templates;
-    Zen_obs.Registry.with_enabled @@ fun () ->
-    let snap () =
-      ( Zen_obs.Counter.value finalizes,
-        Zen_obs.Counter.value hits,
-        Zen_obs.Counter.value misses )
-    in
-    let fin0, hit0, mis0 = snap () in
-    let t0 = Unix.gettimeofday () in
-    Util.handicap_pause ();
-    let proofs, _ =
-      match
-        Prover_pool.prove_epoch ~pool family ~initial:st ~steps
-          ~workers:(Zen_crypto.Pool.domains pool) ~seed:16
-      with
-      | Ok r -> r
-      | Error e -> failwith ("e16 prove_epoch: " ^ e)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let fin1, hit1, mis1 = snap () in
-    let fingerprint =
-      Hash.tagged "e16.run"
-        (List.map
-           (fun tp -> Zen_snark.Backend.proof_encode tp.Prover_pool.proof)
-           proofs)
-    in
-    (wall, fin1 - fin0, hit1 - hit0, mis1 - mis0, fingerprint)
-  in
-  (* Warm-up epoch (untimed): first-touch costs land here, not in the
-     baseline row. *)
-  ignore (run ~templates:true Zen_crypto.Pool.sequential);
-  let base = run ~templates:false Zen_crypto.Pool.sequential in
-  let (base_wall, _, _, _, base_fp) = base in
-  let identical_all = ref true in
-  let rows =
-    List.concat_map
-      (fun domains ->
-        let at pool =
-          let off =
-            if domains = 1 then base else run ~templates:false pool
-          in
-          let on_ = run ~templates:true pool in
-          (off, on_)
-        in
-        let (off, on_) =
-          if domains = 1 then at Zen_crypto.Pool.sequential
-          else at (Zen_crypto.Pool.get ~domains)
-        in
-        List.map
-          (fun (label, (wall, fin, hit, mis, fp)) ->
-            let identical = Hash.equal fp base_fp in
-            if not identical then identical_all := false;
-            [
-              string_of_int domains;
-              label;
-              Util.pp_seconds wall;
-              Printf.sprintf "%.0f" (float_of_int n_steps /. wall);
-              string_of_int fin;
-              string_of_int hit;
-              string_of_int mis;
-              Printf.sprintf "%.2fx" (base_wall /. wall);
-              (if identical then "yes" else "NO");
-            ])
-          [ ("re-synthesis", off); ("template", on_) ])
-      [ 1; 2; 4 ]
-  in
-  Circuits.set_use_templates true;
-  Util.table
-    ~columns:
-      [
-        "domains"; "prover"; "epoch wall"; "steps/s"; "finalizes"; "tpl hits";
-        "tpl misses"; "speedup"; "identical";
-      ]
-    rows;
-  Util.note
-    "proof bytes identical across all configurations: %b\n\
-     64-step epoch; speedup is against re-synthesis at 1 domain.\n\
-     finalizes counts R1cs circuit synthesis+digest runs during the\n\
-     epoch: one per proved step on the legacy path, zero on the\n\
-     template path (templates compile before the timed section).\n\
-     Multi-domain rows run on the persistent registry pool (Pool.get,\n\
-     spawned once, cost-hinted chunking); recommended_domain_count\n\
-     here: %d.\n"
-    !identical_all
-    (Zen_crypto.Pool.recommended_domains ())
-
 (* ---- E17: million-user soak (workload engine, batched state layer) ---- *)
 
 let e17_soak () =
@@ -1348,15 +1241,14 @@ let e18_pipeline () =
     "Proof_pipeline takes base-proof generation off the forge path and\n\
      folds completed proofs through the online balanced merge between\n\
      ticks, leaving certify time only the <= ceil(log2 n) binary-counter\n\
-     carry merges plus the binding check — against the burst path that\n\
-     proves and fold_balances all n leaves at the epoch boundary. The\n\
-     run log must be byte-identical pipeline on or off, for every\n\
+     carry merges plus the binding check, instead of all n - 1 merges\n\
+     of the epoch's tree. The run log must be byte-identical for every\n\
      domain count; only latency moves.";
   let params = Params.default in
   let family = Circuits.make params in
-  let run ~pipeline ~domains =
+  let run ~domains =
     let pool = Pool.get ~domains in
-    let h = Zen_sim.Harness.create ~pool ~pipeline ~seed:"e18" () in
+    let h = Zen_sim.Harness.create ~pool ~seed:"e18" () in
     Zen_sim.Harness.fund h ~blocks:5;
     let sc =
       match
@@ -1396,42 +1288,28 @@ let e18_pipeline () =
     let n = Array.length a in
     a.(min (n - 1) (int_of_float (q *. float_of_int n)))
   in
-  let results =
-    List.map
-      (fun domains ->
-        let on = run ~pipeline:true ~domains in
-        let off = run ~pipeline:false ~domains in
-        (domains, on, off))
-      [ 1; 2; 4 ]
-  in
-  let row mode domains (ticks, wall, _, _) =
-    [
-      mode;
-      string_of_int domains;
-      Util.pp_seconds (pct ticks 0.50);
-      Util.pp_seconds (pct ticks 0.99);
-      Util.pp_seconds (pct ticks 1.0);
-      Util.pp_seconds wall;
-    ]
-  in
+  let results = List.map (fun domains -> (domains, run ~domains)) [ 1; 2; 4 ] in
   Util.table
-    ~columns:[ "mode"; "domains"; "tick p50"; "tick p99"; "tick max"; "wall" ]
-    (List.concat_map
-       (fun (domains, on, off) ->
-         [ row "pipelined" domains on; row "burst" domains off ])
+    ~columns:[ "domains"; "tick p50"; "tick p99"; "tick max"; "wall" ]
+    (List.map
+       (fun (domains, (ticks, wall, _, _)) ->
+         [
+           string_of_int domains;
+           Util.pp_seconds (pct ticks 0.50);
+           Util.pp_seconds (pct ticks 0.99);
+           Util.pp_seconds (pct ticks 1.0);
+           Util.pp_seconds wall;
+         ])
        results);
-  let digest_of (_, _, d, _) = d in
-  let _, on1, _ = List.hd results in
-  Util.note "log digest identical pipeline on/off: %b; across domains: %b\n"
+  let digest_of (_, (_, _, d, _)) = d in
+  let first = List.hd results in
+  Util.note "log digest identical across domains: %b\n"
     (List.for_all
-       (fun (_, on, off) -> Hash.equal (digest_of on) (digest_of off))
-       results)
-    (List.for_all
-       (fun (_, on, _) -> Hash.equal (digest_of on) (digest_of on1))
+       (fun r -> Hash.equal (digest_of r) (digest_of first))
        results);
   (* Certify-path accounting: deterministic in the seed, so identical
-     for every row above (taken from the 1-domain pipelined run). *)
-  let _, _, _, stats = on1 in
+     for every row above (taken from the 1-domain run). *)
+  let _, (_, _, _, stats) = first in
   Util.table
     ~columns:
       [ "epoch"; "leaves"; "certify merges (pipelined)"; "burst merges";
@@ -1479,7 +1357,6 @@ let all =
     ("E13", e13_prover_pool);
     ("E14", e14_fault_storm);
     ("E15", e15_mc_scale);
-    ("E16", e16_template);
     ("E17", e17_soak);
     ("E18", e18_pipeline);
   ]

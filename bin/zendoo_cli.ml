@@ -93,10 +93,8 @@ let attach_workload h ~workload ~seed =
   | Some profile -> Zen_sim.Harness.set_workload h ~profile ~seed
 
 let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
-    aggregate no_pipeline workload no_cache no_template_cache metrics trace_out
-    report =
+    aggregate workload no_cache metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   if sidechains < 1 then begin
     Printf.eprintf "error: --sidechains must be at least 1\n";
     1
@@ -111,10 +109,7 @@ let simulate seed ticks epoch_len submit_len fts withhold sidechains domains
     (* The process-wide persistent pool: spawned once, reused by every
        operation in the run, joined by the registry's at_exit hook. *)
     let pool = Pool.get ~domains:(resolve_domains domains) in
-    let h =
-      Zen_sim.Harness.create ~pool ~aggregate ~pipeline:(not no_pipeline) ~seed
-        ()
-    in
+    let h = Zen_sim.Harness.create ~pool ~aggregate ~seed () in
     Zen_sim.Harness.fund h ~blocks:5;
     let family = Circuits.make Params.default in
     match register_sidechains h ~n:sidechains ~family ~epoch_len ~submit_len with
@@ -218,10 +213,8 @@ let keys mst_depth =
 
 (* ---- prove ---- *)
 
-let prove steps domains workers mst_depth seed no_pipeline no_template_cache
-    metrics trace_out report =
+let prove steps domains workers mst_depth seed metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   let params = { Params.default with mst_depth } in
   if steps < 1 then begin
     Printf.eprintf "error: --steps must be at least 1\n";
@@ -254,58 +247,42 @@ let prove steps domains workers mst_depth seed no_pipeline no_template_cache
     in
     let pool = Pool.get ~domains in
     let t0 = Unix.gettimeofday () in
-    (* Both paths print the same fields from the same data: the proof
-       digest line is byte-identical with or without --no-pipeline (CI
-       compares the two). *)
-    let outcome =
-      if no_pipeline then
-        match
-          Prover_pool.prove_epoch ~pool family ~initial:st ~steps:workload
-            ~workers ~seed
-        with
-        | Error e -> Error e
-        | Ok (proofs, stats) -> (
-          match Prover_pool.merge_all ~pool family rsys proofs with
-          | Error e -> Error e
-          | Ok top -> Ok (proofs, stats, top))
-      else
-        Prover_pool.prove_and_merge ~pool family rsys ~initial:st
-          ~steps:workload ~workers ~seed
-    in
-    (match outcome with
+    match
+      Prover_pool.prove_and_merge ~pool family rsys ~initial:st
+        ~steps:workload ~workers ~seed
+    with
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       1
     | Ok (_proofs, stats, top) ->
-        let total = Unix.gettimeofday () -. t0 in
-        Printf.printf
-          "epoch of %d steps proven on %d domain(s) \
-           (recommended on this machine: %d)\n"
-          stats.Prover_pool.tasks stats.Prover_pool.domains
-          (Pool.recommended_domains ());
-        Printf.printf "  task work        %.3f s (sum of per-task wall)\n"
-          stats.Prover_pool.total_work;
-        Printf.printf "  prove wall       %.3f s (avg concurrency %.2f)\n"
-          stats.Prover_pool.wall stats.Prover_pool.concurrency;
-        Printf.printf "  prove+merge wall %.3f s\n" total;
-        Printf.printf "  epoch proof      depth %d, %d base proofs, %d B, verifies %b\n"
-          (Zen_snark.Recursive.depth top)
-          (Zen_snark.Recursive.base_count top)
-          (Zen_snark.Recursive.proof_size_bytes top)
-          (Zen_snark.Recursive.verify rsys top);
-        Printf.printf "  proof digest     %s\n"
-          (Hash.to_hex
-             (Hash.of_string
-                (Zen_snark.Backend.proof_encode
-                   (Zen_snark.Recursive.final_proof top))));
-        Printf.printf "  rewards          %s\n"
-          (String.concat " "
-             (List.map
-                (fun (w, r) -> Printf.sprintf "w%d:%d" w r)
-                stats.Prover_pool.rewards));
-        report_extras :=
-          [ ("workers", Prover_pool.worker_costs_json stats) ];
-        0)
+      let total = Unix.gettimeofday () -. t0 in
+      Printf.printf
+        "epoch of %d steps proven on %d domain(s) \
+         (recommended on this machine: %d)\n"
+        stats.Prover_pool.tasks stats.Prover_pool.domains
+        (Pool.recommended_domains ());
+      Printf.printf "  task work        %.3f s (sum of per-task wall)\n"
+        stats.Prover_pool.total_work;
+      Printf.printf "  prove wall       %.3f s (avg concurrency %.2f)\n"
+        stats.Prover_pool.wall stats.Prover_pool.concurrency;
+      Printf.printf "  prove+merge wall %.3f s\n" total;
+      Printf.printf "  epoch proof      depth %d, %d base proofs, %d B, verifies %b\n"
+        (Zen_snark.Recursive.depth top)
+        (Zen_snark.Recursive.base_count top)
+        (Zen_snark.Recursive.proof_size_bytes top)
+        (Zen_snark.Recursive.verify rsys top);
+      Printf.printf "  proof digest     %s\n"
+        (Hash.to_hex
+           (Hash.of_string
+              (Zen_snark.Backend.proof_encode
+                 (Zen_snark.Recursive.final_proof top))));
+      Printf.printf "  rewards          %s\n"
+        (String.concat " "
+           (List.map
+              (fun (w, r) -> Printf.sprintf "w%d:%d" w r)
+              stats.Prover_pool.rewards));
+      report_extras := [ ("workers", Prover_pool.worker_costs_json stats) ];
+      0
 
 (* ---- chaos ---- *)
 
@@ -313,10 +290,8 @@ let prove steps domains workers mst_depth seed no_pipeline no_template_cache
    function of (seed, plan): no wall-clock values, no machine state.
    CI runs the command twice and byte-compares the logs. *)
 let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
-    no_pipeline workload intensity plan_str log_out no_template_cache metrics
-    trace_out report =
+    workload intensity plan_str log_out metrics trace_out report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
-  Circuits.set_use_templates (not no_template_cache);
   if sidechains < 1 then begin
     Printf.eprintf "error: --sidechains must be at least 1\n";
     1
@@ -349,8 +324,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
     let faults = Zen_sim.Faults.create ~seed plan in
     let pool = Pool.get ~domains:(resolve_domains domains) in
     let h =
-      Zen_sim.Harness.create ~pool ~aggregate ~pipeline:(not no_pipeline)
-        ~faults
+      Zen_sim.Harness.create ~pool ~aggregate ~faults
         ~seed:(Printf.sprintf "chaos.%d" seed) ()
     in
     Zen_sim.Harness.fund h ~blocks:5;
@@ -379,6 +353,10 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
       (* A small §5.4.1 proving episode under the plan's epoch-0 worker
          faults, digest-compared against the fault-free run: crashes
          must change scheduling, never proof bytes. *)
+      let rsys =
+        Zen_snark.Recursive.create ~name:"chaos"
+          ~base_vks:(Circuits.base_vks family)
+      in
       let episode fl =
         let st = Sc_state.create Params.default in
         let workload =
@@ -389,8 +367,8 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
                    ~amount:(Amount.of_int_exn (i + 1))
                    ~nonce:(Hash.of_string (Printf.sprintf "chaos-%d-%d" seed i))))
         in
-        Prover_pool.prove_epoch ~faults:fl family ~initial:st ~steps:workload
-          ~workers:4 ~seed
+        Prover_pool.prove_and_merge ~faults:fl family rsys ~initial:st
+          ~steps:workload ~workers:4 ~seed
       in
       let digest proofs =
         Hash.to_hex
@@ -415,7 +393,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
       in
       let retries, identical =
         match (episode worker_faults, episode []) with
-        | Ok (faulted, stats), Ok (clean, _) ->
+        | Ok (faulted, stats, _), Ok (clean, _, _) ->
           (stats.Prover_pool.retries, digest faulted = digest clean)
         | Error _, _ | _, Error _ -> (-1, false)
       in
@@ -467,8 +445,7 @@ let chaos seed ticks epoch_len submit_len fts sidechains domains aggregate
    replays the command and byte-compares, and also compares
    --no-batch / --no-snapshots logs against the default run. Perf
    numbers (wall clock, throughput, heap) go to stdout only. *)
-let soak profile_str seed no_batch no_snapshots _no_pipeline log_out metrics
-    trace_out
+let soak profile_str seed no_batch no_snapshots log_out metrics trace_out
     report =
   with_obs ~metrics ~trace_out ~report @@ fun () ->
   match Zen_sim.Workload.of_string profile_str with
@@ -552,17 +529,6 @@ let aggregate_t =
            regardless of sidechain count. Decisions and logs are identical \
            either way.")
 
-let no_pipeline_t =
-  Arg.(
-    value & flag
-    & info [ "no-pipeline" ]
-        ~doc:
-          "Disable pipelined epoch proving: prove every transition \
-           synchronously on the forge path and fold the whole epoch's \
-           merge tree at certify time (the pre-pipeline behaviour). \
-           Certificates, decisions and logs are byte-identical either \
-           way; only latency moves.")
-
 let no_cache_t =
   Arg.(
     value & flag
@@ -571,15 +537,6 @@ let no_cache_t =
           "Disable the mainchain verification cache (every duplicate \
            submission, mempool re-check and reorg replay re-runs SNARK \
            verification). Decisions are identical either way.")
-
-let no_template_cache_t =
-  Arg.(
-    value & flag
-    & info [ "no-template-cache" ]
-        ~doc:
-          "Disable compile-once circuit templates (every prove \
-           re-synthesizes and re-digests its circuit before proving). \
-           Proof bytes are identical either way.")
 
 let metrics_t =
   Arg.(
@@ -627,8 +584,8 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a mainchain + Latus sidechain world")
     Term.(
       const simulate $ seed_t $ ticks $ epoch_len $ submit_len $ fts $ withhold
-      $ sidechains_t $ domains_t $ aggregate_t $ no_pipeline_t $ workload_t
-      $ no_cache_t $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      $ sidechains_t $ domains_t $ aggregate_t $ workload_t $ no_cache_t
+      $ metrics_t $ trace_out_t $ report_t)
 
 let schedule_cmd =
   let start = Arg.(value & opt int 100 & info [ "start" ] ~doc:"Activation height.") in
@@ -667,8 +624,8 @@ let prove_cmd =
          "Prove one epoch on a multicore Domain pool and print measured \
           wall-clock stats")
     Term.(
-      const prove $ steps $ domains_t $ workers $ depth $ seed $ no_pipeline_t
-      $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      const prove $ steps $ domains_t $ workers $ depth $ seed $ metrics_t
+      $ trace_out_t $ report_t)
 
 let chaos_cmd =
   let seed =
@@ -727,8 +684,8 @@ let chaos_cmd =
           replayable log")
     Term.(
       const chaos $ seed $ ticks $ epoch_len $ submit_len $ fts $ sidechains_t
-      $ domains_t $ aggregate_t $ no_pipeline_t $ workload_t $ intensity $ plan
-      $ log_out $ no_template_cache_t $ metrics_t $ trace_out_t $ report_t)
+      $ domains_t $ aggregate_t $ workload_t $ intensity $ plan $ log_out
+      $ metrics_t $ trace_out_t $ report_t)
 
 let soak_cmd =
   let profile =
@@ -760,15 +717,6 @@ let soak_cmd =
              an O(1) copy-on-write checkpoint. Logs and digest are \
              identical either way.")
   in
-  let no_pipeline =
-    Arg.(
-      value & flag
-      & info [ "no-pipeline" ]
-          ~doc:
-            "Accepted for symmetry with $(b,simulate)/$(b,chaos): the \
-             state-layer soak does no proving, so the flag changes nothing. \
-             Logs and digest are identical either way.")
-  in
   let log_out =
     Arg.(
       value
@@ -784,8 +732,8 @@ let soak_cmd =
          "Drive the deterministic workload engine against the batched \
           state layer and print throughput")
     Term.(
-      const soak $ profile $ seed $ no_batch $ no_snapshots $ no_pipeline
-      $ log_out $ metrics_t $ trace_out_t $ report_t)
+      const soak $ profile $ seed $ no_batch $ no_snapshots $ log_out
+      $ metrics_t $ trace_out_t $ report_t)
 
 let () =
   let doc = "Zendoo cross-chain transfer protocol simulator" in

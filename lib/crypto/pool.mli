@@ -5,9 +5,9 @@
     independent, so they can be executed by real domains instead of the
     accounted simulation the repository used to ship. The same pool
     drives batch Merkle/SMT tree builds ({!Merkle.of_leaves},
-    {!Smt.of_bindings}), the per-level merges of the recursive proof
-    tree ([Zen_snark.Recursive.fold_balanced]) and mainchain batch
-    verification ([Zendoo.Verifier.verify_batch]).
+    {!Smt.of_bindings}), the proving futures of pipelined epoch proving
+    ([Zen_latus.Prover_pool.prove_and_merge], [Zen_latus.Proof_pipeline])
+    and mainchain batch verification ([Zendoo.Verifier.verify_batch]).
 
     {2 Lifecycle: one shared pool per process}
 

@@ -8,34 +8,21 @@ type keys = {
   constraints : int;
 }
 
-(* A compile-once circuit template: the R1CS shape (synthesized and
-   digested exactly once, at family creation) plus a witness generator
-   that re-runs the same gadget code in evaluation mode to fill the
-   assignment for concrete values. [prove_step] and friends go through
-   the template on every call, so the per-proof cost is field
-   arithmetic only — no constraint lists, no SHA-256 re-digesting. *)
+(* A compile-once circuit template: the gadget body plus the R1CS shape
+   it synthesizes, digested exactly once at family creation. Every prove
+   re-runs the same body in evaluation mode to fill the assignment for
+   concrete values, so the per-proof cost is field arithmetic only — no
+   constraint lists, no SHA-256 re-digesting. *)
 type 'v template = {
+  name : string;
+  body : Gadget.ctx -> 'v -> unit;
   circuit : R1cs.circuit;
-  assign : 'v -> Fp.t array * Fp.t array;
 }
-
-(* The re-synthesis path is kept selectable so equivalence tests and
-   benchmarks can compare both pipelines byte for byte. Set it before
-   proving starts: the flag is read-only while a Domain pool is
-   running. *)
-let templates_enabled = ref true
-let set_use_templates b = templates_enabled := b
-let use_templates () = !templates_enabled
 
 let template_hits =
   Zen_obs.Counter.make
     ~help:"Proves served by a compiled circuit template (no re-synthesis)"
     "latus.template.hits"
-
-let template_misses =
-  Zen_obs.Counter.make
-    ~help:"Proves that re-synthesized their circuit (template path disabled)"
-    "latus.template.misses"
 
 let bits_of_pos pos d = List.init d (fun i -> Fp.of_int ((pos lsr i) land 1))
 
@@ -87,11 +74,6 @@ let slot_write_body ~depth ~remove ctx v =
     (Gadget.poseidon2 ctx root_after acc)
     s_to
 
-let synth_slot_write ~name ~depth ~remove v =
-  let ctx = Gadget.create () in
-  slot_write_body ~depth ~remove ctx v;
-  Gadget.finalize ~name ctx
-
 (* ---- Backward-transfer accumulation circuit ---- *)
 
 type append_values = {
@@ -120,11 +102,6 @@ let append_body ctx v =
     (Gadget.poseidon2 ctx root acc1)
     s_to
 
-let synth_append ~name v =
-  let ctx = Gadget.create () in
-  append_body ctx v;
-  Gadget.finalize ~name ctx
-
 (* ---- Withdrawal-certificate binding circuit ---- *)
 
 type wcert_values = {
@@ -140,11 +117,6 @@ let wcert_body ctx v =
   let binding = Gadget.poseidon_hash ctx (public @ [ s_prev; s_last ]) in
   let binding_copy = Gadget.witness ctx (Gadget.value binding) in
   Gadget.assert_eq ~label:"wcert.binding" ctx binding binding_copy
-
-let synth_wcert ~name v =
-  let ctx = Gadget.create () in
-  wcert_body ctx v;
-  Gadget.finalize ~name ctx
 
 (* ---- BTR/CSW ownership circuit (§5.5.3.2) ---- *)
 
@@ -181,23 +153,13 @@ let ownership_body ~depth ctx v =
   Gadget.assert_eq ~label:"own.root" ctx root hist_root;
   Gadget.assert_eq ~label:"own.amount" ctx amt amount_pub
 
-let synth_ownership ~name ~depth v =
-  let ctx = Gadget.create () in
-  ownership_body ~depth ctx v;
-  Gadget.finalize ~name ctx
-
 (* ---- Template compilation (once per family) ---- *)
 
 let template_of ~name body dummy =
   let ctx = Gadget.create () in
   body ctx dummy;
   let circuit, _, _ = Gadget.finalize ~name ctx in
-  let assign v =
-    let ctx = Gadget.create_eval () in
-    body ctx v;
-    Gadget.assignment ctx
-  in
-  { circuit; assign }
+  { name; body; circuit }
 
 type family = {
   params : Params.t;
@@ -297,35 +259,45 @@ let step_keys f = function
 
 let ( let* ) = Result.bind
 
-let prove_with keys (circuit, public, witness) =
-  let expected = R1cs.digest (Backend.pk_circuit keys.pk) in
-  if not (Hash.equal (R1cs.digest circuit) expected) then
-    Error "circuit shape diverged from setup"
-  else
-    let* proof = Backend.prove keys.pk ~public ~witness in
-    Ok proof
+(* How a prove obtains its assignment from a template. [templated] is
+   the only production path: the shape check compares digests computed
+   at compile time and the body runs in evaluation mode. [resynthesized]
+   re-runs the body in synthesis mode and re-digests the result — the
+   test oracle behind {!Resynthesis}. Both run the same gadget body, so
+   they can only disagree if evaluation mode diverges from synthesis. *)
+type prover = {
+  run : 'v. keys -> 'v template -> 'v -> (Backend.proof, string) result;
+}
 
-(* The hot-path dispatcher: templates fill the assignment without
-   synthesis; the legacy branch re-synthesizes (and re-digests) for the
-   equivalence tests and benchmarks. [R1cs.same] compares digests
-   computed at compile time — the per-prove SHA-256 of the constraint
-   stream is gone. *)
-let prove_via keys tpl resynth v =
-  if !templates_enabled then begin
-    Zen_obs.Counter.incr template_hits;
-    if not (R1cs.same tpl.circuit (Backend.pk_circuit keys.pk)) then
-      Error "circuit template diverged from setup"
-    else begin
-      let public, witness = tpl.assign v in
-      Backend.prove keys.pk ~public ~witness
-    end
-  end
-  else begin
-    Zen_obs.Counter.incr template_misses;
-    prove_with keys (resynth v)
-  end
+let templated =
+  {
+    run =
+      (fun keys tpl v ->
+        Zen_obs.Counter.incr template_hits;
+        if not (R1cs.same tpl.circuit (Backend.pk_circuit keys.pk)) then
+          Error "circuit template diverged from setup"
+        else begin
+          let ctx = Gadget.create_eval () in
+          tpl.body ctx v;
+          let public, witness = Gadget.assignment ctx in
+          Backend.prove keys.pk ~public ~witness
+        end);
+  }
 
-let prove_step f (state : Sc_state.t) step =
+let resynthesized =
+  {
+    run =
+      (fun keys tpl v ->
+        let ctx = Gadget.create () in
+        tpl.body ctx v;
+        let circuit, public, witness = Gadget.finalize ~name:tpl.name ctx in
+        let expected = R1cs.digest (Backend.pk_circuit keys.pk) in
+        if not (Hash.equal (R1cs.digest circuit) expected) then
+          Error "circuit shape diverged from setup"
+        else Backend.prove keys.pk ~public ~witness);
+  }
+
+let prove_step_with p f (state : Sc_state.t) step =
   let depth = f.params.Params.mst_depth in
   let s_from_v = Sc_state.hash state in
   match step with
@@ -348,11 +320,7 @@ let prove_step f (state : Sc_state.t) step =
           s_to_v;
         }
       in
-      let* proof =
-        prove_via f.remove_keys f.remove_tpl
-          (synth_slot_write ~name:"latus.remove" ~depth ~remove:true)
-          v
-      in
+      let* proof = p.run f.remove_keys f.remove_tpl v in
       Ok (proof, f.remove_keys.vk, s_from_v, s_to_v))
   | Sc_tx.Insert utxo -> (
     let pos = Utxo.position ~mst_depth:depth utxo in
@@ -374,11 +342,7 @@ let prove_step f (state : Sc_state.t) step =
           s_to_v;
         }
       in
-      let* proof =
-        prove_via f.insert_keys f.insert_tpl
-          (synth_slot_write ~name:"latus.insert" ~depth ~remove:false)
-          v
-      in
+      let* proof = p.run f.insert_keys f.insert_tpl v in
       Ok (proof, f.insert_keys.vk, s_from_v, s_to_v))
   | Sc_tx.Append_bt bt ->
     let recv, amt = Backward_transfer.to_fp_pair bt in
@@ -395,14 +359,10 @@ let prove_step f (state : Sc_state.t) step =
         a_s_to = s_to_v;
       }
     in
-    let* proof =
-      prove_via f.append_keys f.append_tpl
-        (synth_append ~name:"latus.append_bt")
-        v
-    in
+    let* proof = p.run f.append_keys f.append_tpl v in
     Ok (proof, f.append_keys.vk, s_from_v, s_to_v)
 
-let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
+let prove_wcert_binding_with p f ~quality ~bt_root ~end_prev_epoch ~end_epoch
     ~proofdata ~s_prev ~s_last =
   let w_public =
     Array.append
@@ -410,11 +370,9 @@ let prove_wcert_binding f ~quality ~bt_root ~end_prev_epoch ~end_epoch
          ~end_prev_epoch ~end_epoch)
       [| Proofdata.root_fp proofdata |]
   in
-  prove_via f.wcert f.wcert_tpl
-    (synth_wcert ~name:"latus.wcert")
-    { w_public; w_s_prev = s_prev; w_s_last = s_last }
+  p.run f.wcert f.wcert_tpl { w_public; w_s_prev = s_prev; w_s_last = s_last }
 
-let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
+let prove_ownership_with p f ~mst ~utxo ~reference_block ~receiver ~proofdata =
   match Mst.find_utxo mst utxo with
   | None -> Error "ownership: utxo not in the committed state"
   | Some pos ->
@@ -425,8 +383,7 @@ let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
            ~nullifier:(Utxo.nullifier utxo) ~receiver ~amount:utxo.amount)
         [| Proofdata.root_fp proofdata |]
     in
-    prove_via f.ownership f.ownership_tpl
-      (synth_ownership ~name:"latus.ownership" ~depth:f.params.Params.mst_depth)
+    p.run f.ownership f.ownership_tpl
       {
         o_public;
         o_addr = Hash.to_fp utxo.addr;
@@ -436,3 +393,13 @@ let prove_ownership f ~mst ~utxo ~reference_block ~receiver ~proofdata =
         o_siblings = siblings;
         o_root = Mst.root mst;
       }
+
+let prove_step = prove_step_with templated
+let prove_wcert_binding = prove_wcert_binding_with templated
+let prove_ownership = prove_ownership_with templated
+
+module Resynthesis = struct
+  let prove_step = prove_step_with resynthesized
+  let prove_wcert_binding = prove_wcert_binding_with resynthesized
+  let prove_ownership = prove_ownership_with resynthesized
+end

@@ -36,18 +36,9 @@ val make : Params.t -> family
     Each circuit is compiled once into a template: the R1CS shape is
     synthesized and digested here, and every later prove only fills the
     witness assignment (evaluation-mode gadget run, no constraint
-    emission, no re-digesting). Proof bytes are bit-identical to the
-    re-synthesis path. *)
-
-val set_use_templates : bool -> unit
-(** Selects the proving pipeline: [true] (the default) proves through
-    the compiled templates; [false] re-synthesizes the circuit on every
-    call — the legacy path, kept for equivalence tests and benchmarks.
-    Flip it only while no prover pool is running; the flag is read per
-    prove. Observable via the [latus.template.hits]/[.misses]
-    counters. *)
-
-val use_templates : unit -> bool
+    emission, no re-digesting). Every prove goes through the template
+    and bumps the [latus.template.hits] counter; {!Resynthesis} is the
+    test oracle that re-synthesizes instead. *)
 
 val base_vks : family -> Backend.verification_key list
 (** The leaf verification keys for {!Zen_snark.Recursive.create}. *)
@@ -90,3 +81,36 @@ val prove_ownership :
 (** BTR/CSW proof: in-circuit membership of [utxo] in [mst] (the
     historically committed state) and amount opening; the public input
     carries the §4.1.2.1 [btr_sysdata]. *)
+
+(** Test oracle: the same three provers, but every call re-synthesizes
+    its circuit from the same gadget body (synthesis mode, constraint
+    emission, a fresh digest compared against the proving key's) instead
+    of filling the compiled template's assignment. Proof bytes are
+    identical to the template path; nothing in the library calls this. *)
+module Resynthesis : sig
+  val prove_step :
+    family ->
+    Sc_state.t ->
+    Sc_tx.step ->
+    (Backend.proof * Backend.verification_key * Fp.t * Fp.t, string) result
+
+  val prove_wcert_binding :
+    family ->
+    quality:int ->
+    bt_root:Hash.t ->
+    end_prev_epoch:Hash.t ->
+    end_epoch:Hash.t ->
+    proofdata:Proofdata.t ->
+    s_prev:Fp.t ->
+    s_last:Fp.t ->
+    (Backend.proof, string) result
+
+  val prove_ownership :
+    family ->
+    mst:Mst.t ->
+    utxo:Utxo.t ->
+    reference_block:Hash.t ->
+    receiver:Hash.t ->
+    proofdata:Proofdata.t ->
+    (Backend.proof, string) result
+end

@@ -19,10 +19,7 @@ let config_for ~ledger_id ~start_block ~epoch_len ~submit_len family =
 type record = {
   block : Sc_block.t;
   state_after : Sc_state.t;
-  proofs : Recursive.transition_proof list;
-      (* application order; empty when the pipeline carries the proofs *)
   leaf_base : int; (* first pipeline leaf index of this block's epoch stream *)
-  leaf_count : int; (* pipeline leaves this block contributed *)
   wepoch : int;
   completes_epoch : int option;
 }
@@ -39,9 +36,7 @@ type t = {
   fam : Circuits.family;
   rsys : Recursive.system;
   forger : Sc_wallet.t;
-  prove : bool;
-  pool : Pool.t; (* domains for proving and epoch-proof folding *)
-  pipeline : Proof_pipeline.t option; (* None: synchronous forge-path proving *)
+  pipeline : Proof_pipeline.t;
   retain_epochs : int;
   genesis_state : Sc_state.t;
   schedule : Epoch.schedule;
@@ -51,8 +46,8 @@ type t = {
   mutable archives : epoch_archive Int_map.t; (* by certified epoch *)
 }
 
-let create ~config ~params ~family ~forger ?(prove = true)
-    ?(pool = Pool.sequential) ?(pipeline = true) ?(retain_epochs = 8) () =
+let create ~config ~params ~family ~forger ?(pool = Pool.sequential)
+    ?(retain_epochs = 8) () =
   match Params.validate params with
   | Error e -> Error e
   | Ok () ->
@@ -71,12 +66,7 @@ let create ~config ~params ~family ~forger ?(prove = true)
           fam = family;
           rsys;
           forger;
-          prove;
-          pool;
-          pipeline =
-            (if prove && pipeline then
-               Some (Proof_pipeline.create ~pool ~family ~rsys)
-             else None);
+          pipeline = Proof_pipeline.create ~pool ~family ~rsys;
           retain_epochs;
           genesis_state = Sc_state.create params;
           schedule = Epoch.of_config config;
@@ -194,18 +184,17 @@ let reconcile t ~mc =
     (* Roll the proving pipeline back with the records: keep only the
        leaves of blocks that survived. The first dropped record of each
        epoch (oldest first in [dropped]) marks the cut. *)
-    (match t.pipeline with
-    | None -> ()
-    | Some p ->
-      let cuts =
-        List.fold_left
-          (fun m r ->
-            Int_map.update r.wepoch
-              (function None -> Some r.leaf_base | keep -> keep)
-              m)
-          Int_map.empty dropped
-      in
-      Int_map.iter (fun epoch keep -> Proof_pipeline.truncate p ~epoch ~keep) cuts);
+    let cuts =
+      List.fold_left
+        (fun m r ->
+          Int_map.update r.wepoch
+            (function None -> Some r.leaf_base | keep -> keep)
+            m)
+        Int_map.empty dropped
+    in
+    Int_map.iter
+      (fun epoch keep -> Proof_pipeline.truncate t.pipeline ~epoch ~keep)
+      cuts;
     (* Front of the FIFO, deduplicated by txid: a payment that is both
        in a dropped block and still pooled (or dropped twice across
        branches) must not be double-queued. *)
@@ -249,35 +238,20 @@ let txs_of_refs refs =
       else [])
     refs
 
-(* Applies a transaction's steps to [state]. Proofs are either produced
-   here, synchronously ([proofs_rev]), or deferred: with a pipeline the
-   pre-step snapshots are collected ([snaps_rev]) and enqueued by the
-   caller once the block is definitely being committed, so an abandoned
-   block never pollutes the epoch's proof stream. Both accumulators are
-   built reversed and reversed once by the caller (the old
-   [proofs @ [tp]] append made validation quadratic in block size). *)
-let prove_and_apply t state tx =
+(* Applies a transaction's steps to [state], collecting each pre-step
+   snapshot for the proving pipeline. The caller enqueues them once the
+   block is definitely being committed, so an abandoned block never
+   pollutes the epoch's proof stream. The snapshot list is built
+   reversed and reversed once by the caller (an append per step would
+   make validation quadratic in block size). *)
+let apply_tx state tx =
   let* steps = Sc_tx.steps state tx in
-  let deferred = t.pipeline <> None in
   List.fold_left
     (fun acc step ->
-      let* state, proofs_rev, snaps_rev = acc in
-      let* proofs_rev =
-        if (not t.prove) || deferred then Ok proofs_rev
-        else begin
-          let* proof, vk, s_from, s_to = Circuits.prove_step t.fam state step in
-          let* tp =
-            Recursive.of_base t.rsys ~vk ~s_from ~s_to ~extra:[||] proof
-          in
-          Ok (tp :: proofs_rev)
-        end
-      in
-      let snaps_rev =
-        if deferred then (state, step) :: snaps_rev else snaps_rev
-      in
-      let* state = Sc_tx.apply_step state step in
-      Ok (state, proofs_rev, snaps_rev))
-    (Ok (state, [], []))
+      let* state, snaps_rev = acc in
+      let* state' = Sc_tx.apply_step state step in
+      Ok (state', (state, step) :: snaps_rev))
+    (Ok (state, []))
     steps
 
 let blocks_forged =
@@ -319,7 +293,7 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       (* Mempool transactions that became invalid (double spends after
          a reorg, stale inputs) are dropped, not fatal. All accumulators
          are reversed lists (linear in block size, not quadratic). *)
-      let* state2, proofs2, snaps2, included =
+      let* state2, snaps2, included =
         Zen_obs.Trace.with_span ~cat:"latus"
           ~args:
             [
@@ -328,27 +302,27 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
             ]
           "latus.validate"
         @@ fun () ->
-        let* state1, proofs1_rev, snaps1_rev =
+        let* state1, snaps1_rev =
           List.fold_left
             (fun acc tx ->
-              let* st, ps, sn = acc in
-              let* st, ps', sn' = prove_and_apply t st tx in
-              (* [ps'] is this tx's proofs reversed; prepending keeps the
-                 whole accumulator reversed at linear cost. *)
-              Ok (st, ps' @ ps, sn' @ sn))
-            (Ok (state0, [], []))
+              let* st, sn = acc in
+              let* st, sn' = apply_tx st tx in
+              (* [sn'] is this tx's snapshots reversed; prepending keeps
+                 the whole accumulator reversed at linear cost. *)
+              Ok (st, sn' @ sn))
+            (Ok (state0, []))
             sync_txs
         in
-        let state2, proofs_rev, snaps_rev, included_rev =
+        let state2, snaps_rev, included_rev =
           List.fold_left
-            (fun (st, ps, sn, inc) tx ->
-              match prove_and_apply t st tx with
-              | Ok (st', ps', sn') -> (st', ps' @ ps, sn' @ sn, tx :: inc)
-              | Error _ -> (st, ps, sn, inc))
-            (state1, proofs1_rev, snaps1_rev, [])
+            (fun (st, sn, inc) tx ->
+              match apply_tx st tx with
+              | Ok (st', sn') -> (st', sn' @ sn, tx :: inc)
+              | Error _ -> (st, sn, inc))
+            (state1, snaps1_rev, [])
             mempool_txs
         in
-        Ok (state2, List.rev proofs_rev, List.rev snaps_rev, List.rev included_rev)
+        Ok (state2, List.rev snaps_rev, List.rev included_rev)
       in
       let parent =
         match tip_record t with
@@ -375,24 +349,16 @@ let forge t ~mc ~slot ?(enforce_leader = false) () =
       (* Commit point: the block definitely enters the chain, so its
          proving tasks may now enter the epoch stream (enqueueing any
          earlier would let an aborted forge pollute the certificate). *)
-      let leaf_base, leaf_count =
-        match t.pipeline with
-        | None -> (0, 0)
-        | Some p ->
-          let base = Proof_pipeline.leaves p ~epoch:wepoch in
-          List.iter
-            (fun (st, step) ->
-              Proof_pipeline.enqueue p ~epoch:wepoch ~state:st ~step)
-            snaps2;
-          (base, List.length snaps2)
-      in
+      let leaf_base = Proof_pipeline.leaves t.pipeline ~epoch:wepoch in
+      List.iter
+        (fun (st, step) ->
+          Proof_pipeline.enqueue t.pipeline ~epoch:wepoch ~state:st ~step)
+        snaps2;
       let record =
         {
           block;
           state_after = state2;
-          proofs = proofs2;
           leaf_base;
-          leaf_count;
           wepoch;
           completes_epoch;
         }
@@ -436,13 +402,6 @@ let certificate_target t ~mc =
       | Some r -> r.cert.epoch_id + 1
     in
     min node_next mc_next
-
-(* Records of one withdrawal epoch, oldest first — O(log e + k) via the
-   epoch index instead of re-filtering the whole record list. *)
-let epoch_records t ~epoch =
-  match Int_map.find_opt epoch t.by_epoch with
-  | None -> []
-  | Some rs -> List.rev rs
 
 (* The block completing [epoch] carries that epoch's last MC reference,
    so it lives in [epoch]'s own bucket. *)
@@ -493,9 +452,7 @@ let prune_certified t ~mc =
       let before = List.length t.records in
       t.records <- List.filter (fun r -> r.wepoch >= keep_from) t.records;
       t.by_epoch <- Int_map.filter (fun e _ -> e >= keep_from) t.by_epoch;
-      (match t.pipeline with
-      | Some p -> Proof_pipeline.drop_below p ~epoch:keep_from
-      | None -> ());
+      Proof_pipeline.drop_below t.pipeline ~epoch:keep_from;
       Zen_obs.Counter.add records_pruned (before - List.length t.records)
     end
 
@@ -504,45 +461,27 @@ let certify_s =
     ~bounds:(Zen_obs.Histogram.exponential_bounds ~lo:1e-4 ~factor:4. ~n:10)
     "latus.certify.seconds"
 
-(* The epoch's recursive transition proof: either fold the synchronously
-   produced proofs in one burst (no pipeline — O(n) merges here, on the
-   certify path), or complete the pipeline's incremental fold (≤ ⌈log₂ n⌉
-   carry merges plus any straggler base proofs). Both produce the same
-   proof bytes and the same errors. *)
+(* The epoch's recursive transition proof: complete the pipeline's
+   incremental fold (≤ ⌈log₂ n⌉ carry merges plus any straggler base
+   proofs). *)
 let epoch_top_proof t ~epoch =
-  match t.pipeline with
-  | None -> (
-    let proofs = List.concat_map (fun r -> r.proofs) (epoch_records t ~epoch) in
-    match proofs with
-    | [] -> Ok None
-    | _ ->
-      let* top =
-        Zen_obs.Trace.with_span ~cat:"latus"
-          ~args:[ ("proofs", string_of_int (List.length proofs)) ]
-          "latus.fold"
-        @@ fun () -> Recursive.fold_balanced ~pool:t.pool t.rsys proofs
-      in
-      Ok (Some top))
-  | Some p -> (
-    match Proof_pipeline.leaves p ~epoch with
-    | 0 -> Ok None
-    | n ->
-      let* top =
-        Zen_obs.Trace.with_span ~cat:"latus"
-          ~args:[ ("proofs", string_of_int n) ]
-          "latus.fold"
-        @@ fun () -> Proof_pipeline.await_epoch p ~epoch
-      in
-      Ok (Some top))
+  match Proof_pipeline.leaves t.pipeline ~epoch with
+  | 0 -> Ok None
+  | n ->
+    let* top =
+      Zen_obs.Trace.with_span ~cat:"latus"
+        ~args:[ ("proofs", string_of_int n) ]
+        "latus.fold"
+      @@ fun () -> Proof_pipeline.await_epoch t.pipeline ~epoch
+    in
+    Ok (Some top)
 
 let build_certificate t ~mc =
-  if not t.prove then Error "certificate: node runs with proving disabled"
-  else begin
-    prune_certified t ~mc;
-    let mc_now = Chain.tip_state mc in
-    if Sc_ledger.is_ceased mc_now.scs t.config.ledger_id ~height:mc_now.height
-    then Ok None (* a ceased sidechain can never certify again (Def. 4.2) *)
-    else
+  prune_certified t ~mc;
+  let mc_now = Chain.tip_state mc in
+  if Sc_ledger.is_ceased mc_now.scs t.config.ledger_id ~height:mc_now.height
+  then Ok None (* a ceased sidechain can never certify again (Def. 4.2) *)
+  else
     let epoch = certificate_target t ~mc in
     match completing_record t ~epoch with
     | None -> Ok None (* epoch not yet complete *)
@@ -622,22 +561,12 @@ let build_certificate t ~mc =
             t.archives;
       Zen_obs.Counter.incr certificates;
       Ok (Some (Tx.Certificate cert))
-  end
 
 (* ---- Pipeline surface ---- *)
 
-let pump t =
-  match t.pipeline with Some p -> Proof_pipeline.pump p | None -> ()
-
-let pipeline_enabled t = t.pipeline <> None
-
-let pipeline_depth t =
-  match t.pipeline with Some p -> Proof_pipeline.outstanding p | None -> 0
-
-let certificate_stats t =
-  match t.pipeline with
-  | Some p -> List.rev (Proof_pipeline.certificate_log p)
-  | None -> []
+let pump t = Proof_pipeline.pump t.pipeline
+let pipeline_depth t = Proof_pipeline.outstanding t.pipeline
+let certificate_stats t = List.rev (Proof_pipeline.certificate_log t.pipeline)
 
 let retained_records t = List.length t.records
 

@@ -4,26 +4,27 @@
     The paper's §5.4.1 provers (and the Latus incentive-scheme paper,
     arXiv:2103.13754) generate base proofs and merge proofs
     {e continuously across the epoch}, not in a burst at the boundary.
-    This module is the node-side realization: {!Node.forge} applies
-    steps natively, snapshots the pre-step state, and {!enqueue}s one
-    proving task per step as a {!Pool.future}; the tasks complete on the
-    shared Domain pool in the background while the node forges the next
-    block. As sibling proofs land, {!pump} folds them through
-    {!Recursive.Incremental} — the online [fold_balanced] — so by
-    certify time the epoch's merge tree is already built except for the
-    ≤ ⌈log₂ n⌉ binary-counter carry merges, which {!await_epoch} runs
-    together with any straggler base proofs.
+    This module is the node-side realization and the node's only proving
+    path: {!Node.forge} applies steps natively, snapshots the pre-step
+    state, and {!enqueue}s one proving task per step as a
+    {!Pool.future}; the tasks complete on the shared Domain pool in the
+    background while the node forges the next block. As sibling proofs
+    land, {!pump} folds them through {!Recursive.Incremental} — the
+    online balanced fold — so by certify time the epoch's merge tree is
+    already built except for the ≤ ⌈log₂ n⌉ binary-counter carry merges,
+    which {!await_epoch} runs together with any straggler base
+    proofs.
 
     {2 Determinism}
 
     Scheduling moves, bytes don't. Leaves are harvested strictly in
     application order regardless of completion order, the incremental
-    fold reproduces [fold_balanced]'s exact tree, and a task's thunk is
+    fold's tree depends only on the leaf list, and a task's thunk is
     pure — so certificates (and on failure, the reported error) are
-    byte-identical to the synchronous path for every domain count,
-    pipeline on or off. With a sequential pool nothing runs in the
-    background; {!pump} and {!await_epoch} are simply where the deferred
-    work executes, which spreads it across ticks instead of bursting.
+    byte-identical for every domain count. With a sequential pool
+    nothing runs in the background; {!pump} and {!await_epoch} are
+    simply where the deferred work executes, which spreads it across
+    ticks instead of bursting.
 
     {2 Observability}
 
@@ -42,8 +43,8 @@ type certificate_stats = {
   cert_leaves : int;  (** base transitions folded into the epoch proof *)
   cert_carry_merges : int;
       (** merges that actually ran on the certify path —
-          ≤ ⌈log₂ [cert_leaves]⌉, vs. [cert_leaves] − 1 for the
-          unpipelined burst fold *)
+          popcount([cert_leaves]) − 1 ≤ ⌈log₂ [cert_leaves]⌉, vs.
+          [cert_leaves] − 1 for a burst fold at the epoch boundary *)
 }
 
 val create : pool:Zen_crypto.Pool.t -> family:Circuits.family -> rsys:Recursive.system -> t
@@ -66,10 +67,10 @@ val pump : t -> unit
 val await_epoch : t -> epoch:int -> (Recursive.transition_proof, string) result
 (** Completes [epoch]'s fold: awaits straggler base proofs (running
     unclaimed ones inline), then performs the remaining carry merges.
-    Errors are deterministic and identical to the synchronous
-    prove-then-[fold_balanced] path: the first failing base proof in
-    application order, else the first failing merge in [fold_balanced]'s
-    (level, pair) order. Appends to {!certificate_log}. *)
+    Errors are deterministic: the first failing base proof in
+    application order, else the first failing merge in the tree's
+    (level, pair) order ({!Recursive.Incremental.finish}). Appends to
+    {!certificate_log}. *)
 
 val leaves : t -> epoch:int -> int
 (** Tasks enqueued for [epoch] so far (0 for an unknown epoch). *)
@@ -91,4 +92,4 @@ val drop_below : t -> epoch:int -> unit
 val certificate_log : t -> certificate_stats list
 (** One entry per {!await_epoch} call, newest first — the per-epoch
     certify-path accounting surfaced in the CLI report
-    ([pipeline.certs]) and asserted by CI's pipeline-smoke job. *)
+    ([pipeline.certs]) and asserted by the test suite. *)

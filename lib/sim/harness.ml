@@ -43,7 +43,6 @@ type t = {
   miner_addr : Hash.t;
   pool : Pool.t;
   aggregate : bool;
-  pipeline : bool;
   mutable time : int;
   mutable sidechains_rev : sidechain list;
   mutable next_sc_nonce : int;
@@ -61,7 +60,7 @@ let logf t fmt = Printf.ksprintf (Zen_obs.Events.add t.log) fmt
 let dump_log t = Zen_obs.Events.items t.log
 
 let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
-    ?(pipeline = true) ?faults ~seed () =
+    ?faults ~seed () =
   let params = { Chain_state.default_params with pow } in
   let mc_wallet = Wallet.create ~seed in
   let miner_addr = Wallet.fresh_address mc_wallet in
@@ -72,7 +71,6 @@ let create ?(pow = Pow.trivial) ?(pool = Pool.sequential) ?(aggregate = false)
     miner_addr;
     pool;
     aggregate;
-    pipeline;
     time = 0;
     sidechains_rev = [];
     next_sc_nonce = 1;
@@ -216,10 +214,7 @@ let add_latus t ~name ?(params = Params.default) ?family ?pool ~epoch_len
     let forger = Sc_wallet.create ~seed:("forger." ^ name) in
     let (_ : Hash.t) = Sc_wallet.fresh_address forger in
     let node_pool = match pool with Some p -> p | None -> t.pool in
-    match
-      Node.create ~config ~params ~family ~forger ~pool:node_pool
-        ~pipeline:t.pipeline ()
-    with
+    match Node.create ~config ~params ~family ~forger ~pool:node_pool () with
     | Error e -> Error e
     | Ok node ->
       submit t (Tx.Sc_create config);
@@ -530,8 +525,8 @@ let tick t =
          finished since the last tick (with a sequential pool, run the
          deferred proofs here) so certify time only sees carry merges
          and genuine stragglers. Scheduling only — the log never
-         records pipeline progress, keeping runs byte-identical
-         pipeline on or off. *)
+         records pipeline progress, keeping runs byte-identical for
+         every domain count. *)
       Node.pump sc.node;
       if not sc.withhold_certs then submit_certificate t sc)
     (sidechains t);
@@ -618,11 +613,10 @@ let scoreboard_json t =
         (* Certify-path accounting per certificate: [leaves] base
            transitions folded, of which only [carry_merges] merges ran
            at certify time (the rest were eager, between ticks). Both
-           are deterministic in the seed — CI asserts
-           carry_merges ≤ ⌈log₂ leaves⌉ + 1. *)
+           are deterministic in the seed — the test suite asserts
+           carry_merges = popcount(leaves) − 1. *)
         Obj
           [
-            ("enabled", Bool t.pipeline);
             ( "certs",
               Arr
                 (List.concat_map

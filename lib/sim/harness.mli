@@ -48,12 +48,6 @@ type t = {
           into one {!Zen_snark.Aggregate} (validation verifies one
           proof per block); decisions and logs are byte-identical
           either way *)
-  pipeline : bool;
-      (** when true (the default), sidechain nodes prove through
-          {!Zen_latus.Proof_pipeline} — base proofs run between ticks
-          and merge incrementally, leaving certify time only the carry
-          merges; certificates, decisions and logs are byte-identical
-          either way *)
   mutable time : int;
   mutable sidechains_rev : sidechain list;
       (** newest first (constant-time registration); read registration
@@ -88,7 +82,6 @@ val create :
   ?pow:Pow.params ->
   ?pool:Pool.t ->
   ?aggregate:bool ->
-  ?pipeline:bool ->
   ?faults:Faults.t ->
   seed:string ->
   unit ->

@@ -20,8 +20,8 @@
     An aggregate is only producible through {!build}, which refuses any
     leaf whose certificate verification fails, so "aggregate verifies"
     is equivalent to "every covered certificate verifies". The pairing
-    is positional with the odd trailing element carried up, identical
-    to [Recursive.fold_balanced], so {!root_of_digests} lets a verifier
+    is positional with the odd trailing element carried up — the tree
+    shape of {!Recursive.Incremental} — so {!root_of_digests} lets a verifier
     recompute the expected root from the block's certificates without
     touching proofs. *)
 

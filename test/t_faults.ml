@@ -276,17 +276,23 @@ let pool_steps n tag =
            ~amount:(amount (i + 1))
            ~nonce:(Hash.of_string (Printf.sprintf "tf-%s-%d" tag i))))
 
+let rsys =
+  Zen_snark.Recursive.create ~name:"t-faults"
+    ~base_vks:(Circuits.base_vks family)
+
 let test_prover_crash_retry () =
   let st = Sc_state.create params in
   let steps = pool_steps 12 "crash" in
-  let clean, cstats =
-    ok (Prover_pool.prove_epoch family ~initial:st ~steps ~workers:4 ~seed:9)
-  in
-  let faulted, fstats =
+  let clean, cstats, clean_top =
     ok
-      (Prover_pool.prove_epoch
+      (Prover_pool.prove_and_merge family rsys ~initial:st ~steps ~workers:4
+         ~seed:9)
+  in
+  let faulted, fstats, faulted_top =
+    ok
+      (Prover_pool.prove_and_merge
          ~faults:[ (2, Prover_pool.Crash) ]
-         family ~initial:st ~steps ~workers:4 ~seed:9)
+         family rsys ~initial:st ~steps ~workers:4 ~seed:9)
   in
   checki "clean run no retries" 0 cstats.Prover_pool.retries;
   checkb "crash forces retries" true (fstats.Prover_pool.retries > 0);
@@ -305,23 +311,17 @@ let test_prover_crash_retry () =
            (Zen_snark.Backend.proof_encode b.Prover_pool.proof))
        clean faulted);
   (* ... and so is the folded epoch proof the certificate would carry *)
-  let rsys =
-    Zen_snark.Recursive.create ~name:"t-faults"
-      ~base_vks:(Circuits.base_vks family)
-  in
-  let final proofs =
-    Zen_snark.Backend.proof_encode
-      (Zen_snark.Recursive.final_proof
-         (ok (Prover_pool.merge_all family rsys proofs)))
+  let final top =
+    Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof top)
   in
   checkb "epoch proof byte-identical" true
-    (String.equal (final clean) (final faulted));
+    (String.equal (final clean_top) (final faulted_top));
   (* replay: the same (seed, faults) reproduces the same schedule *)
-  let again, astats =
+  let again, astats, _ =
     ok
-      (Prover_pool.prove_epoch
+      (Prover_pool.prove_and_merge
          ~faults:[ (2, Prover_pool.Crash) ]
-         family ~initial:st ~steps ~workers:4 ~seed:9)
+         family rsys ~initial:st ~steps ~workers:4 ~seed:9)
   in
   checki "same retries on replay" fstats.Prover_pool.retries
     astats.Prover_pool.retries;
@@ -335,24 +335,26 @@ let test_prover_crash_exhaustion () =
   let steps = pool_steps 4 "dead" in
   checkb "all workers crashed" true
     (Result.is_error
-       (Prover_pool.prove_epoch
+       (Prover_pool.prove_and_merge
           ~faults:[ (0, Prover_pool.Crash); (1, Prover_pool.Crash) ]
-          family ~initial:st ~steps ~workers:2 ~seed:9));
+          family rsys ~initial:st ~steps ~workers:2 ~seed:9));
   (* budget 1 leaves no room to re-dispatch away from a crash *)
   checkb "attempt budget exhausted" true
     (Result.is_error
-       (Prover_pool.prove_epoch
+       (Prover_pool.prove_and_merge
           ~faults:[ (0, Prover_pool.Crash) ]
-          ~attempt_budget:1 family ~initial:st ~steps ~workers:2 ~seed:9));
+          ~attempt_budget:1 family rsys ~initial:st ~steps ~workers:2 ~seed:9));
   (* a slow worker changes nothing but timing *)
-  let slowed, sstats =
+  let slowed, sstats, _ =
     ok
-      (Prover_pool.prove_epoch
+      (Prover_pool.prove_and_merge
          ~faults:[ (1, Prover_pool.Slow 9) ]
-         family ~initial:st ~steps ~workers:2 ~seed:9)
+         family rsys ~initial:st ~steps ~workers:2 ~seed:9)
   in
-  let clean, _ =
-    ok (Prover_pool.prove_epoch family ~initial:st ~steps ~workers:2 ~seed:9)
+  let clean, _, _ =
+    ok
+      (Prover_pool.prove_and_merge family rsys ~initial:st ~steps ~workers:2
+         ~seed:9)
   in
   checki "slow run no retries" 0 sstats.Prover_pool.retries;
   checkb "slow proofs identical" true

@@ -213,18 +213,17 @@ let workload steps seed =
    certificate-facing binding proof, and the certificate hash. *)
 let epoch_fingerprint ~domains ~steps ~seed =
   let family = Lazy.force family in
-  with_domains domains @@ fun pool ->
-  let proofs, stats =
-    ok
-      (Prover_pool.prove_epoch ~pool family
-         ~initial:(Sc_state.create params)
-         ~steps:(workload steps seed) ~workers:3 ~seed)
-  in
   let rsys =
     Zen_snark.Recursive.create ~name:"t-pool"
       ~base_vks:(Circuits.base_vks family)
   in
-  let top = ok (Prover_pool.merge_all ~pool family rsys proofs) in
+  with_domains domains @@ fun pool ->
+  let proofs, stats, top =
+    ok
+      (Prover_pool.prove_and_merge ~pool family rsys
+         ~initial:(Sc_state.create params)
+         ~steps:(workload steps seed) ~workers:3 ~seed)
+  in
   let bt_root = Backward_transfer.list_root [] in
   let proofdata = Proofdata.[ Digest Hash.zero; Field Fp.one; Blob "" ] in
   let binding =
@@ -265,20 +264,26 @@ let prop_epoch_identical_across_domains =
              && String.equal bind bind' && Hash.equal cert cert')
            [ 2; 4 ]))
 
-let test_fold_balanced_parallel_identical () =
+(* A 7-leaf epoch: the merge tree carries an odd trailing block up two
+   levels, folded while proofs land out of order on 2 domains. *)
+let test_odd_width_fold_identical () =
   let family = Lazy.force family in
-  let proofs, _ =
-    ok
-      (Prover_pool.prove_epoch family ~initial:(Sc_state.create params)
-         ~steps:(workload 7 5) ~workers:2 ~seed:5)
-  in
   let rsys () =
     Zen_snark.Recursive.create ~name:"t-pool-fold"
       ~base_vks:(Circuits.base_vks family)
   in
-  let seq = ok (Prover_pool.merge_all family (rsys ()) proofs) in
+  let top pool =
+    let _, _, top =
+      ok
+        (Prover_pool.prove_and_merge ~pool family (rsys ())
+           ~initial:(Sc_state.create params)
+           ~steps:(workload 7 5) ~workers:2 ~seed:5)
+    in
+    top
+  in
+  let seq = top Pool.sequential in
   with_domains 2 @@ fun pool ->
-  let par = ok (Prover_pool.merge_all ~pool family (rsys ()) proofs) in
+  let par = top pool in
   checkb "odd-width merge tree identical" true
     (String.equal
        (Zen_snark.Backend.proof_encode (Zen_snark.Recursive.final_proof seq))
@@ -304,6 +309,6 @@ let suite =
       Alcotest.test_case "smt batch identical" `Quick test_smt_batch_identical;
       Alcotest.test_case "mst batch identical" `Quick test_mst_batch_identical;
       Alcotest.test_case "odd-width fold identical" `Slow
-        test_fold_balanced_parallel_identical;
+        test_odd_width_fold_identical;
       prop_epoch_identical_across_domains;
     ] )

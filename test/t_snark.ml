@@ -169,10 +169,16 @@ let setup_rec () =
   let sys = Recursive.create ~name:"t" ~base_vks:[ vk ] in
   (sys, pk, vk)
 
+(* The production fold: Recursive.Incremental over the whole chain. *)
+let incremental sys ts =
+  let acc = Recursive.Incremental.create sys in
+  List.iter (Recursive.Incremental.push acc) ts;
+  Recursive.Incremental.finish acc
+
 let test_recursion_balanced () =
   let sys, pk, vk = setup_rec () in
   let ts = make_chain sys pk vk (Fp.of_int 1) 9 in
-  let top = ok (Recursive.fold_balanced sys ts) in
+  let top = ok (incremental sys ts) in
   checkb "verifies" true (Recursive.verify sys top);
   checki "covers 9" 9 (Recursive.base_count top);
   checki "depth ceil(log2 9)" 4 (Recursive.depth top);
@@ -183,7 +189,7 @@ let test_recursion_balanced () =
 let test_recursion_sequential_shape () =
   let sys, pk, vk = setup_rec () in
   let ts = make_chain sys pk vk (Fp.of_int 1) 5 in
-  let top = ok (Recursive.fold_sequential sys ts) in
+  let top = ok (Fold_oracle.fold_sequential sys ts) in
   checki "degenerate depth" 4 (Recursive.depth top);
   checkb "verifies" true (Recursive.verify sys top)
 
@@ -215,19 +221,20 @@ let test_recursion_rejects_unregistered_vk () =
 
 let test_recursion_empty_fold () =
   let sys, _, _ = setup_rec () in
-  match Recursive.fold_balanced sys [] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty fold accepted"
+  match (incremental sys [], Fold_oracle.fold_balanced sys []) with
+  | Error _, Error _ -> ()
+  | _ -> Alcotest.fail "empty fold accepted"
 
 (* ---- fold equivalence (property) ----
 
-   [fold_balanced] (any domain count) and [fold_sequential] must accept
-   exactly the same inputs: every adjacency-ordered prefix of a chain is
-   accepted by both with the same endpoints and base count, and a chain
-   broken by dropping an interior element (the odd-carry hazard: the
-   gap can land anywhere in the tree) is rejected by both. One 17-link
-   chain is built once and sliced, so the property costs 17 base proofs
-   total, not 17 per case. *)
+   The production fold (Recursive.Incremental), the test-side batch
+   balanced fold (any domain count) and the left-fold ablation must
+   accept exactly the same inputs: every adjacency-ordered prefix of a
+   chain is accepted by all three with the same endpoints and base
+   count, and a chain broken by dropping an interior element (the
+   odd-carry hazard: the gap can land anywhere in the tree) is rejected
+   by all three. One 17-link chain is built once and sliced, so the
+   property costs 17 base proofs total, not 17 per case. *)
 
 let chain17 =
   lazy
@@ -249,18 +256,23 @@ let fold_equivalence_prop (len, domains, gap) =
     | _ -> (ts, false)
   in
   let pool = Pool.get ~domains in
-  let bal = Recursive.fold_balanced ~pool sys ts in
-  let seq = Recursive.fold_sequential sys ts in
-  match (bal, seq) with
-  | Ok b, Ok s ->
+  let bal = Fold_oracle.fold_balanced ~pool sys ts in
+  let seq = Fold_oracle.fold_sequential sys ts in
+  let inc = incremental sys ts in
+  match (bal, seq, inc) with
+  | Ok b, Ok s, Ok i ->
     (not broken)
     && Recursive.verify sys b && Recursive.verify sys s
+    && Recursive.verify sys i
     && Fp.equal (Recursive.s_from b) (Recursive.s_from s)
     && Fp.equal (Recursive.s_to b) (Recursive.s_to s)
+    && Fp.equal (Recursive.s_from i) (Recursive.s_from s)
+    && Fp.equal (Recursive.s_to i) (Recursive.s_to s)
     && Recursive.base_count b = Recursive.base_count s
+    && Recursive.base_count i = Recursive.base_count s
     && Recursive.base_count b = List.length ts
-  | Error _, Error _ -> broken
-  | Ok _, Error _ | Error _, Ok _ -> false
+  | Error _, Error _, Error _ -> broken
+  | _ -> false
 
 let test_fold_equivalence =
   QCheck_alcotest.to_alcotest
@@ -282,8 +294,8 @@ let test_fold_equivalence_exhaustive_lengths () =
       let pool = Pool.get ~domains in
       for len = 1 to 17 do
         let ts = take len chain in
-        let b = ok (Recursive.fold_balanced ~pool sys ts) in
-        let s = ok (Recursive.fold_sequential sys ts) in
+        let b = ok (Fold_oracle.fold_balanced ~pool sys ts) in
+        let s = ok (Fold_oracle.fold_sequential sys ts) in
         checkb
           (Printf.sprintf "len %d domains %d verifies" len domains)
           true
